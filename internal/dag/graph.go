@@ -14,7 +14,7 @@ package dag
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -85,12 +85,18 @@ func (a Action) Key() string {
 	if len(a.Params) == 0 {
 		return a.Op
 	}
-	keys := make([]string, 0, len(a.Params))
-	for k := range a.Params {
+	// Actions carry a handful of parameters; sorting their names in a
+	// stack buffer leaves the result string as the only allocation.
+	var buf [8]string
+	keys := buf[:0]
+	n := len(a.Op)
+	for k, v := range a.Params {
 		keys = append(keys, k)
+		n += len(k) + len(v) + 2
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString(a.Op)
 	for _, k := range keys {
 		b.WriteByte('|')
@@ -209,6 +215,14 @@ func (g *Graph) Successors(id string) []string {
 // Predecessors returns the IDs with an edge to id, in insertion order.
 func (g *Graph) Predecessors(id string) []string {
 	return append([]string(nil), g.pred[id]...)
+}
+
+// EachPredecessor calls fn with every ID that has an edge to id, in
+// insertion order, without copying the edge list (see Predecessors).
+func (g *Graph) EachPredecessor(id string, fn func(pred string)) {
+	for _, p := range g.pred[id] {
+		fn(p)
+	}
 }
 
 // Edges returns every edge as [from, to] pairs in deterministic order.

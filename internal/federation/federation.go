@@ -15,7 +15,9 @@
 //     (warehouse.ExportCatalog/ImportCatalog), so a configuration
 //     checkpointed in one cell becomes clone-warm federation-wide, and
 //     a quarantine verdict raised anywhere poisons the image
-//     everywhere.
+//     everywhere. Entries carry the descriptor bytes each image was
+//     encoded to at publish, so a round over unchanged catalogs
+//     encodes nothing.
 //
 // The tick loop re-schedules itself forever; simulations that run to
 // quiescence must Stop it before the last foreground process exits
@@ -248,13 +250,7 @@ func (f *Federation) GossipNow(p *sim.Proc) GossipStats {
 			continue
 		}
 		st.Cells++
-		entries, err := c.Warehouse.ExportCatalog()
-		if err != nil {
-			// An unexportable image is a local defect; the cell still
-			// imports from its peers this round.
-			continue
-		}
-		exports = append(exports, export{from: c.Name, entries: entries})
+		exports = append(exports, export{from: c.Name, entries: c.Warehouse.ExportCatalog()})
 	}
 	for _, c := range f.cells {
 		if f.suspended[c.Name] || c.Shop.Down() || c.Warehouse == nil {

@@ -1,6 +1,9 @@
 package match
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -360,6 +363,286 @@ func TestMatchedSetInvariantsProperty(t *testing.T) {
 					t.Errorf("matched set not ancestor-closed: %s missing %s", id, anc)
 				}
 			}
+		}
+	}
+}
+
+// referenceEvaluate is the matcher as it was before the per-request
+// index: it rebuilds the key index, the ancestor sets and the
+// topological sort for every call. Kept verbatim as the oracle the
+// indexed matcher must agree with.
+func referenceEvaluate(g *dag.Graph, performed []dag.Action) Result {
+	keys := g.ActionKeys() // node ID -> action key
+	// Index unmatched nodes by action key. Several nodes may share a
+	// key; each performed action consumes one.
+	byKey := make(map[string][]string)
+	for _, id := range g.ActionIDs() {
+		k := keys[id]
+		byKey[k] = append(byKey[k], id)
+	}
+
+	// Subset test: bind each performed action to a distinct DAG node.
+	// When several unmatched nodes share the action's key, bind in an
+	// ancestor-respecting order — prefer the first node whose DAG
+	// predecessors are all matched already. A valid history lists every
+	// node after its ancestors, so a greedy first-unmatched binding
+	// could pick a same-key node whose prerequisites the image lacks
+	// and spuriously fail the prefix test.
+	matched := make([]string, 0, len(performed))
+	matchedSet := make(map[string]bool, len(performed))
+	for i, a := range performed {
+		k := a.Key()
+		ids := byKey[k]
+		if len(ids) == 0 {
+			return Result{
+				Failed: TestSubset,
+				Reason: fmt.Sprintf("image operation %d (%s) is not required by the request", i, a.Op),
+			}
+		}
+		pick := 0
+		for j, id := range ids {
+			ready := true
+			for anc := range g.Ancestors(id) {
+				if anc != dag.StartID && !matchedSet[anc] {
+					ready = false
+					break
+				}
+			}
+			if ready {
+				pick = j
+				break
+			}
+		}
+		id := ids[pick]
+		rest := make([]string, 0, len(ids)-1)
+		rest = append(rest, ids[:pick]...)
+		byKey[k] = append(rest, ids[pick+1:]...)
+		matched = append(matched, id)
+		matchedSet[id] = true
+	}
+
+	// Prefix test: every matched node's action ancestors must be matched.
+	for _, id := range matched {
+		for anc := range g.Ancestors(id) {
+			if anc == dag.StartID {
+				continue
+			}
+			if !matchedSet[anc] {
+				return Result{
+					Failed: TestPrefix,
+					Reason: fmt.Sprintf("image has %s but not its prerequisite %s", id, anc),
+				}
+			}
+		}
+	}
+
+	// Partial order test: performed order must be a linear extension.
+	if !g.IsLinearExtension(matched) {
+		return Result{
+			Failed: TestPartialOrder,
+			Reason: "image operations were performed in an order the DAG forbids",
+		}
+	}
+
+	// Residual plan: topological order of unmatched nodes. Because the
+	// matched set is ancestor-closed (prefix test), removing it leaves a
+	// well-formed suffix; a full topo sort filtered to unmatched nodes is
+	// a valid execution order.
+	topo, err := g.TopoSort()
+	if err != nil {
+		return Result{Failed: TestPartialOrder, Reason: "request DAG is cyclic"}
+	}
+	var residual []string
+	for _, id := range topo {
+		if id == dag.StartID || id == dag.FinishID || matchedSet[id] {
+			continue
+		}
+		residual = append(residual, id)
+	}
+	return Result{OK: true, Matched: matched, Residual: residual}
+}
+
+// referenceTemplateEvaluate is TemplateEvaluate over referenceEvaluate.
+func referenceTemplateEvaluate(g *dag.Graph, performed []dag.Action) Result {
+	r := referenceEvaluate(g, performed)
+	if !r.OK {
+		return r
+	}
+	if len(r.Residual) != 0 {
+		return Result{
+			Failed: TestSubset,
+			Reason: fmt.Sprintf("template match requires exact configuration; %d operations missing", len(r.Residual)),
+		}
+	}
+	return r
+}
+
+// randomGraph builds a valid DAG of 1–12 actions whose keys are drawn
+// from a small pool, so several nodes often share one. Dependencies
+// point from lower to higher logical index, but nodes are added in a
+// shuffled order so insertion order differs from topological order.
+func randomGraph(t *testing.T, rng *rand.Rand) *dag.Graph {
+	t.Helper()
+	n := 1 + rng.Intn(12)
+	pool := 2 + rng.Intn(n)
+	keyOf := make([]int, n)
+	deps := make([][]string, n)
+	for i := range keyOf {
+		keyOf[i] = rng.Intn(pool)
+		for j := 0; j < i; j++ {
+			if rng.Intn(3) == 0 {
+				deps[i] = append(deps[i], fmt.Sprintf("n%d", j))
+			}
+		}
+	}
+	b := dag.NewBuilder()
+	for _, i := range rng.Perm(n) {
+		b.Add(fmt.Sprintf("n%d", i), poolAction(keyOf[i]), deps[i]...)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// poolAction is the k-th action of the random graphs' key pool.
+func poolAction(k int) dag.Action {
+	if k%3 == 0 {
+		return act(actions.OpRunScript, "script", fmt.Sprintf("s%d.sh", k))
+	}
+	return act(actions.OpInstallPackage, "name", fmt.Sprintf("p%d", k), "seconds", "1")
+}
+
+// randomHistory returns a random linear extension of g's action nodes,
+// as actions: the order a valid history could have performed them in.
+func randomHistory(g *dag.Graph, rng *rand.Rand) []dag.Action {
+	done := map[string]bool{dag.StartID: true}
+	var out []dag.Action
+	for len(out) < g.Len() {
+		var ready []string
+		for _, id := range g.ActionIDs() {
+			if done[id] {
+				continue
+			}
+			ok := true
+			for _, p := range g.Predecessors(id) {
+				ok = ok && done[p]
+			}
+			if ok {
+				ready = append(ready, id)
+			}
+		}
+		id := ready[rng.Intn(len(ready))]
+		done[id] = true
+		node, _ := g.Node(id)
+		out = append(out, node.Action)
+	}
+	return out
+}
+
+// histories derives the candidate histories checked against g: valid
+// prefixes, shuffled orders, foreign operations, missing prerequisites
+// and over-performed keys.
+func histories(g *dag.Graph, rng *rand.Rand) [][]dag.Action {
+	full := randomHistory(g, rng)
+	prefix := full[:rng.Intn(len(full)+1)]
+	hs := [][]dag.Action{nil, full, prefix}
+
+	shuffled := append([]dag.Action(nil), full...)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	hs = append(hs, shuffled, shuffled[:rng.Intn(len(shuffled)+1)])
+
+	foreign := append([]dag.Action(nil), prefix...)
+	at := rng.Intn(len(foreign) + 1)
+	foreign = append(foreign[:at], append([]dag.Action{act(actions.OpInstallPackage, "name", "foreign")}, foreign[at:]...)...)
+	hs = append(hs, foreign)
+
+	if len(prefix) > 1 {
+		cut := rng.Intn(len(prefix) - 1)
+		gap := append(append([]dag.Action(nil), prefix[:cut]...), prefix[cut+1:]...)
+		hs = append(hs, gap)
+	}
+
+	var random []dag.Action
+	for i := rng.Intn(6); i > 0; i-- {
+		random = append(random, poolAction(rng.Intn(4)))
+	}
+	return append(hs, random, append(full, full[rng.Intn(len(full))]))
+}
+
+func sameResult(got, want Result) bool {
+	if got.OK != want.OK || got.Failed != want.Failed ||
+		!reflect.DeepEqual(got.Matched, want.Matched) || !reflect.DeepEqual(got.Residual, want.Residual) {
+		return false
+	}
+	// The prefix test's reason used to name a random missing
+	// prerequisite; every other reason is unchanged.
+	return got.Failed == TestPrefix || got.Reason == want.Reason
+}
+
+// The indexed matcher agrees with the reference on every outcome field,
+// for Evaluate, TemplateEvaluate and each candidate Best ranks.
+func TestEvaluateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	outcomes := map[Test]int{}
+	for trial := 0; trial < 400; trial++ {
+		g := randomGraph(t, rng)
+		var cands []Candidate
+		for i, h := range histories(g, rng) {
+			want := referenceEvaluate(g, h)
+			if got := Evaluate(g, h); !sameResult(got, want) {
+				t.Fatalf("trial %d history %d on %s:\n got %+v\nwant %+v", trial, i, g, got, want)
+			}
+			if got, want := TemplateEvaluate(g, h), referenceTemplateEvaluate(g, h); !sameResult(got, want) {
+				t.Fatalf("trial %d history %d template on %s:\n got %+v\nwant %+v", trial, i, g, got, want)
+			}
+			if want.OK {
+				outcomes[""]++
+			} else {
+				outcomes[want.Failed]++
+			}
+			cands = append(cands, Candidate{ID: fmt.Sprintf("c%02d", i), Hardware: hw(64, 4096), Performed: h})
+		}
+		_, ranked, _ := Best(hw(64, 4096), g, cands)
+		feasible := 0
+		for _, c := range cands {
+			if referenceEvaluate(g, c.Performed).OK {
+				feasible++
+			}
+		}
+		if len(ranked) != feasible {
+			t.Fatalf("trial %d: Best ranked %d candidates, reference finds %d feasible", trial, len(ranked), feasible)
+		}
+		for _, r := range ranked {
+			if want := referenceEvaluate(g, r.Candidate.Performed); !sameResult(r.Result, want) {
+				t.Fatalf("trial %d: Best result for %s = %+v, want %+v", trial, r.Candidate.ID, r.Result, want)
+			}
+		}
+	}
+	// The generator must exercise every outcome, or the comparison
+	// proves less than it claims.
+	for _, o := range []Test{"", TestSubset, TestPrefix, TestPartialOrder} {
+		if outcomes[o] == 0 {
+			t.Errorf("no history produced outcome %q: %v", o, outcomes)
+		}
+	}
+}
+
+// Regression: the prefix test's reason named a random missing
+// prerequisite because it ranged over an ancestor map. It names the
+// first one in topological order.
+func TestPrefixReasonIsDeterministic(t *testing.T) {
+	g := dag.NewBuilder().
+		Add("a", act(actions.OpInstallOS, "distro", "linux")).
+		Add("b", act(actions.OpInstallPackage, "name", "b")).
+		Add("c", act(actions.OpInstallPackage, "name", "c"), "a", "b").
+		MustBuild()
+	perf := []dag.Action{act(actions.OpInstallPackage, "name", "c")}
+	for i := 0; i < 200; i++ {
+		r := Evaluate(g, perf)
+		if r.Failed != TestPrefix || !strings.HasSuffix(r.Reason, "prerequisite a") {
+			t.Fatalf("call %d: %s %q, want a prefix failure naming a", i, r.Failed, r.Reason)
 		}
 	}
 }

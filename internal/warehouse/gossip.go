@@ -4,10 +4,13 @@
 // the checkpoints the learning loop publishes back — are the knowledge
 // worth sharing: a configuration history checkpointed in one cell saves
 // the same work in every cell. Cells therefore gossip their derived
-// catalogs: ExportCatalog serializes each derived image as its XML
+// catalogs: ExportCatalog ships each derived image as its XML
 // descriptor (the image's manifest, integrity sums included) plus its
 // quarantine status, and ImportCatalog materializes entries the local
-// cell is missing. Replication is lazy and metadata-first: the importer
+// cell is missing. The descriptor bytes are the ones encoded once at
+// publish, so a round re-encodes nothing: exporting an unchanged
+// catalog costs a walk over it, and an importer parses only the
+// entries it does not already hold. Replication is lazy and metadata-first: the importer
 // rebuilds the copy-on-write checkpoint over its own copy of the parent
 // seed image (every cell is seeded with the same installer-built golden
 // machines), so no bulk extent data crosses cells — exactly the PR-5
@@ -18,10 +21,7 @@
 // so no cell clones state another cell already caught corrupting.
 package warehouse
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // CatalogEntry is one derived image as gossiped between cells: the XML
 // descriptor carries the full configuration history and integrity sums,
@@ -37,27 +37,26 @@ type CatalogEntry struct {
 	Reason      string `json:"reason,omitempty"`
 }
 
-// ExportCatalog serializes the cell's derived images for gossip, in
+// ExportCatalog lists the cell's derived images for gossip, in
 // deterministic (name) order. Seed images are omitted: every cell is
-// installer-seeded identically, so only learned state is news.
-func (w *Warehouse) ExportCatalog() ([]CatalogEntry, error) {
-	var out []CatalogEntry
-	for _, n := range w.List() {
+// installer-seeded identically, so only learned state is news. Entries
+// share the descriptor bytes stored at publish; receivers must not
+// modify them.
+func (w *Warehouse) ExportCatalog() []CatalogEntry {
+	names := w.List()
+	out := make([]CatalogEntry, 0, len(names))
+	for _, n := range names {
 		im := w.images[n]
 		if !im.Derived {
 			continue
 		}
-		blob, err := im.DescriptorXML()
-		if err != nil {
-			return nil, fmt.Errorf("warehouse: export %q: %w", n, err)
-		}
-		e := CatalogEntry{Name: im.Name, Parent: im.Parent, Backend: im.Backend, Descriptor: blob}
+		e := CatalogEntry{Name: im.Name, Parent: im.Parent, Backend: im.Backend, Descriptor: im.descXML}
 		if reason, q := w.QuarantineReason(n); q {
 			e.Quarantined, e.Reason = true, reason
 		}
 		out = append(out, e)
 	}
-	return out, nil
+	return out
 }
 
 // ImportStats reports what one gossip round changed locally.

@@ -24,10 +24,7 @@ func gossipPair(t *testing.T) (a, b *Warehouse) {
 // copy is clonable knowledge, not a quarantined stub.
 func TestGossipReplicatesDerivedImages(t *testing.T) {
 	a, b := gossipPair(t)
-	entries, err := a.ExportCatalog()
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := a.ExportCatalog()
 	if len(entries) != 1 || entries[0].Name != "derived-ckpt" {
 		t.Fatalf("export = %+v, want only the derived image (seeds are never gossiped)", entries)
 	}
@@ -48,10 +45,7 @@ func TestGossipReplicatesDerivedImages(t *testing.T) {
 // count as known, and nothing is rebuilt or double-published.
 func TestGossipReimportIsIdempotent(t *testing.T) {
 	a, b := gossipPair(t)
-	entries, err := a.ExportCatalog()
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := a.ExportCatalog()
 	b.ImportCatalog(entries, time.Second)
 	used := b.BytesUsed()
 	st := b.ImportCatalog(entries, 2*time.Second)
@@ -68,10 +62,7 @@ func TestGossipReimportIsIdempotent(t *testing.T) {
 func TestGossipDefersUntilParentSeedArrives(t *testing.T) {
 	a, _ := gossipPair(t)
 	c := newWarehouse() // unseeded cell
-	entries, err := a.ExportCatalog()
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := a.ExportCatalog()
 	st := c.ImportCatalog(entries, time.Second)
 	if st.Deferred != 1 || st.Imported != 0 {
 		t.Fatalf("unseeded import stats = %+v, want 1 deferred", st)
@@ -91,18 +82,12 @@ func TestGossipDefersUntilParentSeedArrives(t *testing.T) {
 // including cells that already hold a clean-looking copy.
 func TestGossipPropagatesQuarantine(t *testing.T) {
 	a, b := gossipPair(t)
-	entries, err := a.ExportCatalog()
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := a.ExportCatalog()
 	b.ImportCatalog(entries, time.Second) // b now holds a healthy copy
 	if !a.Quarantine("derived-ckpt", "checksum mismatch on clone read") {
 		t.Fatal("quarantine refused")
 	}
-	entries, err = a.ExportCatalog()
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries = a.ExportCatalog()
 	if len(entries) != 1 || !entries[0].Quarantined {
 		t.Fatalf("export after quarantine = %+v, want the verdict attached", entries)
 	}

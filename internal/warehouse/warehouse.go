@@ -84,6 +84,10 @@ type Image struct {
 	// epoch advances whenever the image's integrity status changes
 	// (quarantine, repair); see Epoch.
 	epoch int64
+	// descXML is the descriptor as encoded at publish, an exact-size
+	// copy. No descriptor field changes after publication, so these are
+	// the bytes on the volume for the image's lifetime.
+	descXML []byte
 
 	// refs counts live clones whose virtual disks link into this
 	// image's state files; a referenced image cannot be retired.
@@ -229,10 +233,15 @@ func (im *Image) Descriptor() Descriptor {
 	return d
 }
 
-// DescriptorXML serializes the image's descriptor to the XML bytes
-// stored beside it on the volume — and carried by the publish-image
-// RPC when a plant pushes a derived image to a remote warehouse.
+// DescriptorXML returns the XML bytes stored beside the image on the
+// volume — and carried by the publish-image RPC when a plant pushes a
+// derived image to a remote warehouse. A published image returns the
+// bytes encoded once at publish, which callers must not modify; an
+// unpublished one is encoded on each call.
 func (im *Image) DescriptorXML() ([]byte, error) {
+	if im.descXML != nil {
+		return im.descXML, nil
+	}
 	return encodeDescriptor(im.Descriptor())
 }
 
@@ -524,6 +533,7 @@ func (w *Warehouse) Publish(im *Image) error {
 	w.vol.WriteMetaSum(descPath, int64(len(blob)), im.Sums[descPath])
 	// Extent bytes are accounted by the store (deduplicated), not per
 	// image: a seed's accounted bytes are its private state only.
+	im.descXML = bytes.Clone(blob)
 	w.register(im, configBytes+im.Disk.RedoBytes()+im.MemImageBytes()+int64(len(blob)))
 	w.journalEvent(journal.ImagePublish, im.Name, map[string]string{"origin": "seed"})
 	if w.faults.Should(integritySite, fault.TornWrite, "publish") {
@@ -603,6 +613,7 @@ func (w *Warehouse) PublishDerived(im *Image, now time.Duration) error {
 	w.vol.WriteMetaSum(descPath, int64(len(blob)), im.Sums[descPath])
 	parent.Ref()
 	im.lastUsed = now
+	im.descXML = bytes.Clone(blob)
 	w.register(im, need)
 	w.journalEvent(journal.ImagePublish, im.Name,
 		map[string]string{"origin": "derived", "parent": im.Parent})
