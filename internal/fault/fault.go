@@ -107,8 +107,8 @@ func NewRegistry(seed int64) *Registry {
 	return NewWithRNG(sim.NewRNG(seed))
 }
 
-// NewWithRNG returns a registry drawing from an existing stream — how
-// the plant's FailProb adapter preserves the legacy draw sequence.
+// NewWithRNG returns a registry drawing from an existing stream — how a
+// plant's own registry shares the plant's RNG stream.
 func NewWithRNG(rng *sim.RNG) *Registry {
 	return &Registry{
 		rng:    rng,

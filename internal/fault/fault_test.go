@@ -112,8 +112,8 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 // A miss (no matching rule) and a zero-prob rule must both consume zero
 // RNG draws, so arming new never-firing rules cannot perturb the draw
-// sequence of unrelated checks — the property the FailProb adapter
-// depends on for byte-identical legacy replays.
+// sequence of unrelated checks — the property a plant's own registry,
+// sharing the plant's RNG stream, depends on to stay inert when empty.
 func TestRuleMissConsumesNoDraws(t *testing.T) {
 	rng1 := sim.NewRNG(5)
 	rng2 := sim.NewRNG(5)

@@ -46,19 +46,11 @@ type Config struct {
 	// Backends are the available production lines; nil selects both
 	// defaults.
 	Backends vmm.Registry
-	// FailProb injects per-operation configuration failures: map of
-	// action op → probability.
-	//
-	// Deprecated: superseded by Faults. The field keeps working — New
-	// installs each entry as an ActionFail rule on a registry sharing
-	// the plant's RNG stream, so legacy failure experiments and tests
-	// replay byte-identically — but new code should configure a
-	// fault.Registry, which covers crashes, RPC faults, and clone I/O
-	// errors as well.
-	FailProb map[string]float64
 	// Faults is the fault-injection registry every injection point in
 	// the plant consults: DAG action failures, clone I/O errors,
-	// mid-creation crashes, slow bids. nil disables injection.
+	// mid-creation crashes, slow bids. nil gives the plant an empty
+	// registry of its own, drawing from the plant's RNG stream; rules
+	// added to it later through Plant.Faults fire on that stream.
 	Faults *fault.Registry
 	// DisablePartialMatch forces the PPP to ignore cached configuration
 	// work and clone only from images with no performed actions — the
@@ -228,19 +220,9 @@ func New(name string, node *cluster.Node, wh *warehouse.Warehouse, cfg Config) *
 	}
 	tel := cfg.Telemetry
 	rng := node.RNG().Child()
-	// FailProb adapter: legacy per-op probabilities become ActionFail
-	// rules. The registry draws from the plant's own RNG stream and
-	// consumes exactly one draw per check with a matching rule — the
-	// same draw pattern as the old inline Bernoulli — so existing
-	// failure experiments replay byte-identically.
 	faults := cfg.Faults
-	if len(cfg.FailProb) > 0 {
-		if faults == nil {
-			faults = fault.NewWithRNG(rng)
-		}
-		for op, prob := range cfg.FailProb {
-			faults.SetProb(name, fault.ActionFail, op, prob)
-		}
+	if faults == nil {
+		faults = fault.NewWithRNG(rng)
 	}
 	pl := &Plant{
 		name:   name,

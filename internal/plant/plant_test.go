@@ -9,6 +9,7 @@ import (
 	"vmplants/internal/cluster"
 	"vmplants/internal/core"
 	"vmplants/internal/dag"
+	"vmplants/internal/fault"
 	"vmplants/internal/sim"
 	"vmplants/internal/vdisk"
 	"vmplants/internal/warehouse"
@@ -67,6 +68,15 @@ func newRig(t *testing.T, cfg Config) *rig {
 		t.Fatal(err)
 	}
 	return &rig{k: k, tb: tb, wh: wh, pl: New("node00", tb.Nodes[0], wh, cfg)}
+}
+
+// failingRig is a rig whose plant fails every DAG action op with
+// probability prob, drawn from the plant's own stream.
+func failingRig(t *testing.T, op string, prob float64) *rig {
+	t.Helper()
+	r := newRig(t, Config{})
+	r.pl.Faults().SetProb(r.pl.Name(), fault.ActionFail, op, prob)
+	return r
 }
 
 func (r *rig) run(t *testing.T, body func(p *sim.Proc)) time.Duration {
@@ -284,7 +294,7 @@ func TestMonitorUpdatesAds(t *testing.T) {
 }
 
 func TestFailureInjectionAborts(t *testing.T) {
-	r := newRig(t, Config{FailProb: map[string]float64{actions.OpCreateUser: 1.0}})
+	r := failingRig(t, actions.OpCreateUser, 1.0)
 	r.run(t, func(p *sim.Proc) {
 		_, err := r.pl.Create(p, "vm-s-1", spec(t, "u1"))
 		if err == nil || !strings.Contains(err.Error(), "injected failure") {
@@ -302,7 +312,7 @@ func TestFailureInjectionAborts(t *testing.T) {
 
 func TestErrorPolicyRetrySucceedsEventually(t *testing.T) {
 	// Failure probability 0.5 with generous retries: some attempt wins.
-	r := newRig(t, Config{FailProb: map[string]float64{actions.OpCreateUser: 0.5}})
+	r := failingRig(t, actions.OpCreateUser, 0.5)
 	r.run(t, func(p *sim.Proc) {
 		s := spec(t, "u1")
 		n, _ := s.Graph.Node("user")
@@ -314,7 +324,7 @@ func TestErrorPolicyRetrySucceedsEventually(t *testing.T) {
 }
 
 func TestErrorPolicyContinueSkipsFailure(t *testing.T) {
-	r := newRig(t, Config{FailProb: map[string]float64{actions.OpCreateUser: 1.0}})
+	r := failingRig(t, actions.OpCreateUser, 1.0)
 	r.run(t, func(p *sim.Proc) {
 		s := spec(t, "u1")
 		n, _ := s.Graph.Node("user")
@@ -449,7 +459,7 @@ func TestGoldenImageRetirement(t *testing.T) {
 }
 
 func TestFailedCreateReleasesImageRef(t *testing.T) {
-	r := newRig(t, Config{FailProb: map[string]float64{actions.OpCreateUser: 1.0}})
+	r := failingRig(t, actions.OpCreateUser, 1.0)
 	r.run(t, func(p *sim.Proc) {
 		if _, err := r.pl.Create(p, "vm-s-1", spec(t, "u1")); err == nil {
 			t.Fatal("expected failure")

@@ -31,9 +31,8 @@ func (pl *Plant) Down() bool {
 	return pl.down
 }
 
-// Faults exposes the plant's effective fault registry (the configured
-// one, or the one the FailProb adapter created); nil when injection is
-// disabled.
+// Faults exposes the plant's fault registry: the configured one, or the
+// plant's own (empty until rules are added) when none was configured.
 func (pl *Plant) Faults() *fault.Registry { return pl.faults }
 
 // SetJournal attaches the plant's event log: lifecycle events are

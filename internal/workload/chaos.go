@@ -262,6 +262,36 @@ func RunChaos(seed int64, opts ChaosOptions) (*ChaosResult, error) {
 	return res, nil
 }
 
+// GateViolations lists every acceptance-gate failure (empty = pass):
+// every request succeeded, recovery re-learned every route, the drain
+// left nothing behind, and the mix actually injected faults.
+func (r *ChaosResult) GateViolations() []string {
+	var v violations
+	v.check(r.Succeeded == r.Requests, "succeeded %d of %d requests", r.Succeeded, r.Requests)
+	v.check(r.OrphanVMs == 0, "%d orphaned VMs after drain", r.OrphanVMs)
+	v.check(r.LeakedNets == 0, "%d leaked host-only networks after drain", r.LeakedNets)
+	v.check(r.RoutesRecov == r.Requests, "shop.Recover rebuilt %d routes, want %d", r.RoutesRecov, r.Requests)
+	injected := r.InjectionTotal(fault.RPCDrop) + r.InjectionTotal(fault.CloneIO) +
+		r.InjectionTotal(fault.PlantCrash) + r.InjectionTotal(fault.SlowBid)
+	v.check(injected > 0, "no faults injected; chaos run exercised nothing")
+	return v
+}
+
+// injectionLines renders fault-injection counts as report lines,
+// sorted by "site/kind[/op]" label.
+func injectionLines(counts map[string]int64) []string {
+	labels := make([]string, 0, len(counts))
+	for l := range counts {
+		labels = append(labels, l)
+	}
+	sort.Strings(labels)
+	out := make([]string, len(labels))
+	for i, l := range labels {
+		out[i] = fmt.Sprintf("injected %-28s %d", l, counts[l])
+	}
+	return out
+}
+
 // InjectionTotal sums injections across all sites for one fault kind.
 func (r *ChaosResult) InjectionTotal(kind fault.Kind) int64 {
 	var n int64
@@ -289,13 +319,5 @@ func (r *ChaosResult) Report() []string {
 		fmt.Sprintf("orphaned VMs:        %d", r.OrphanVMs),
 		fmt.Sprintf("leaked networks:     %d", r.LeakedNets),
 	}
-	labels := make([]string, 0, len(r.Injections))
-	for l := range r.Injections {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		out = append(out, fmt.Sprintf("injected %-28s %d", l, r.Injections[l]))
-	}
-	return out
+	return append(out, injectionLines(r.Injections)...)
 }

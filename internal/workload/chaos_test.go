@@ -1,36 +1,20 @@
 package workload
 
 import (
+	"strings"
 	"testing"
-
-	"vmplants/internal/fault"
 )
 
 // The chaos run is the acceptance gate for the whole failure-recovery
 // stack: every request must eventually succeed via failover and retry,
-// and draining the site must leave nothing behind.
+// and draining the site must leave nothing behind — here at paper scale.
 func TestChaosRunCompletesEveryRequest(t *testing.T) {
 	res, err := RunChaos(42, ChaosOptions{})
 	if err != nil {
 		t.Fatalf("RunChaos: %v", err)
 	}
-	if res.Succeeded != res.Requests {
-		t.Fatalf("succeeded %d of %d requests:\n%s", res.Succeeded, res.Requests, res.Fingerprint)
-	}
-	if res.OrphanVMs != 0 {
-		t.Errorf("%d orphaned VMs after drain", res.OrphanVMs)
-	}
-	if res.LeakedNets != 0 {
-		t.Errorf("%d leaked host-only networks after drain", res.LeakedNets)
-	}
-	if res.RoutesRecov != res.Requests {
-		t.Errorf("shop.Recover rebuilt %d routes, want %d", res.RoutesRecov, res.Requests)
-	}
-	// The default mix is hot enough that a 32-request run must actually
-	// have exercised the machinery, or the experiment proves nothing.
-	if total := res.InjectionTotal(fault.RPCDrop) + res.InjectionTotal(fault.CloneIO) +
-		res.InjectionTotal(fault.PlantCrash) + res.InjectionTotal(fault.SlowBid); total == 0 {
-		t.Error("no faults injected; chaos run exercised nothing")
+	if v := res.GateViolations(); len(v) != 0 {
+		t.Errorf("gate violations:\n  %s\n%s", strings.Join(v, "\n  "), res.Fingerprint)
 	}
 }
 

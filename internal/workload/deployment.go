@@ -7,6 +7,7 @@ import (
 	"vmplants/internal/cluster"
 	"vmplants/internal/core"
 	"vmplants/internal/cost"
+	"vmplants/internal/fault"
 	"vmplants/internal/plant"
 	"vmplants/internal/shop"
 	"vmplants/internal/sim"
@@ -283,9 +284,10 @@ func CloneTimes(recs []CreationRecord) []float64 {
 // kernel has consumed.
 func (d *Deployment) TotalVirtualTime() time.Duration { return d.Kernel.Now() }
 
-// DefaultFailProb is the per-request configuration failure probability
-// used by the Figure 4–6 runs so that success counts land near the
-// paper's (121, 124 and 40 VMs out of 128, 128 and 40 requests).
-func DefaultFailProb() map[string]float64 {
-	return map[string]float64{"configure-network": 0.03}
+// FailActions makes every plant fail DAG action op with probability
+// prob, drawn from each plant's own fault stream.
+func (d *Deployment) FailActions(op string, prob float64) {
+	for _, pl := range d.Plants {
+		pl.Faults().SetProb(pl.Name(), fault.ActionFail, op, prob)
+	}
 }

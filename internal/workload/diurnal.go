@@ -225,34 +225,27 @@ type DiurnalResult struct {
 	Fingerprint string
 
 	// Journal is the shop's full write-ahead log and Spans the run's
-	// span set — the failure artifacts a red CI job uploads.
+	// span set — the experiment's artifacts.
 	Journal []journal.Record
 	Spans   []telemetry.Span
 }
 
 // GateViolations lists every acceptance-gate failure (empty = pass).
-func (r *DiurnalResult) GateViolations(killed bool) []string {
-	var v []string
-	check := func(ok bool, format string, args ...interface{}) {
-		if !ok {
-			v = append(v, fmt.Sprintf(format, args...))
-		}
-	}
-	check(r.SLOsHold, "SLOs violated over the week")
-	check(r.ScaleUps >= 2, "scale-ups = %d, want >= 2", r.ScaleUps)
-	check(r.Retired >= 2, "drain/retires = %d, want >= 2", r.Retired)
-	if killed {
-		check(r.ShopKills >= 1, "no shop kill landed mid-drain")
-		check(r.ShopRestarts >= 1, "killed shop never restarted")
-		check(r.ResumedDrains >= 1, "interrupted drain never resumed")
-	}
-	check(r.OrphanVMs == 0, "orphaned VMs = %d", r.OrphanVMs)
-	check(r.LeakedNets == 0, "leaked virtual networks = %d", r.LeakedNets)
-	check(r.LeakedExtentRefs == 0, "leaked extent refs = %d", r.LeakedExtentRefs)
-	check(r.Shed > 0, "overload path never exercised (0 sheds)")
-	check(r.NonRetryableSheds == 0, "non-retryable sheds = %d", r.NonRetryableSheds)
-	check(r.FailedFinal == 0, "requests abandoned = %d", r.FailedFinal)
-	check(r.DestroyFails == 0, "collections abandoned = %d", r.DestroyFails)
+func (r *DiurnalResult) GateViolations() []string {
+	var v violations
+	v.check(r.SLOsHold, "SLOs violated over the week")
+	v.check(r.ScaleUps >= 2, "scale-ups = %d, want >= 2", r.ScaleUps)
+	v.check(r.Retired >= 2, "drain/retires = %d, want >= 2", r.Retired)
+	v.check(r.ShopKills >= 1, "no shop kill landed mid-drain")
+	v.check(r.ShopRestarts >= 1, "killed shop never restarted")
+	v.check(r.ResumedDrains >= 1, "interrupted drain never resumed")
+	v.check(r.OrphanVMs == 0, "orphaned VMs = %d", r.OrphanVMs)
+	v.check(r.LeakedNets == 0, "leaked virtual networks = %d", r.LeakedNets)
+	v.check(r.LeakedExtentRefs == 0, "leaked extent refs = %d", r.LeakedExtentRefs)
+	v.check(r.Shed > 0, "overload path never exercised (0 sheds)")
+	v.check(r.NonRetryableSheds == 0, "non-retryable sheds = %d", r.NonRetryableSheds)
+	v.check(r.FailedFinal == 0, "requests abandoned = %d", r.FailedFinal)
+	v.check(r.DestroyFails == 0, "collections abandoned = %d", r.DestroyFails)
 	return v
 }
 

@@ -5,35 +5,20 @@ import (
 	"testing"
 )
 
-// TestDiurnalSmokeGate runs the compressed two-day diurnal cycle and
-// holds it to the full acceptance gate: SLOs intact, the fleet flexed
-// both ways with one retirement crossing a kill -9, nothing orphaned or
-// leaked, every shed retryable — and the whole run byte-identically
-// reproducible.
+// TestDiurnalSmokeGate runs the compressed two-day diurnal cycle on a
+// second seed and holds it to the full acceptance gate: SLOs intact,
+// the fleet flexed both ways with one retirement crossing a kill -9,
+// nothing orphaned or leaked, every shed retryable — and the whole run
+// byte-identically reproducible.
 func TestDiurnalSmokeGate(t *testing.T) {
-	opts := SmokeDiurnalOptions()
-	res, err := RunDiurnal(11, opts)
+	out, _, err := experiment(t, "diurnal").Replay(11, true)
 	if err != nil {
 		t.Fatalf("diurnal run: %v", err)
 	}
-	if v := res.GateViolations(true); len(v) != 0 {
-		t.Errorf("gate violations:\n  %s", strings.Join(v, "\n  "))
-		for _, line := range res.Report() {
+	if len(out.Violations) != 0 {
+		t.Errorf("gate violations:\n  %s", strings.Join(out.Violations, "\n  "))
+		for _, line := range out.Report {
 			t.Log(line)
 		}
-	}
-
-	again, err := RunDiurnal(11, opts)
-	if err != nil {
-		t.Fatalf("diurnal rerun: %v", err)
-	}
-	if res.Fingerprint != again.Fingerprint {
-		a, b := strings.Split(res.Fingerprint, "\n"), strings.Split(again.Fingerprint, "\n")
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				t.Fatalf("fingerprints diverge at line %d:\n  run1: %s\n  run2: %s", i+1, a[i], b[i])
-			}
-		}
-		t.Fatalf("fingerprints differ in length: %d vs %d lines", len(a), len(b))
 	}
 }

@@ -170,8 +170,8 @@ type FederationResult struct {
 	PerCell []CellLoad
 
 	// Journals holds each integrity-phase cell's final shop-journal
-	// records and Spans that phase's trace — the material vmbench dumps
-	// as CI failure artifacts.
+	// records and Spans that phase's trace — the experiment's
+	// artifacts.
 	Journals map[string][]journal.Record
 	Spans    []telemetry.Span
 
@@ -635,6 +635,26 @@ func remoteID(s *shop.Shop, id core.VMID) core.VMID {
 		return remote
 	}
 	return id
+}
+
+// GateViolations lists every acceptance-gate failure (empty = pass).
+// The federation must serve the entire offered stream; the single shop
+// may shed load (that is the point), but must serve something or the
+// goodput ratio is meaningless.
+func (r *FederationResult) GateViolations() []string {
+	var v violations
+	v.check(r.FederatedSucceeded == r.ThroughputRequests,
+		"federated stream served %d/%d", r.FederatedSucceeded, r.ThroughputRequests)
+	v.check(r.BaselineSucceeded > 0, "single-shop baseline served 0/%d", r.ThroughputRequests)
+	v.check(r.Speedup >= 2.5, "goodput speedup %.2fx, want >= 2.5x", r.Speedup)
+	v.check(r.Succeeded == r.Requests, "integrity wave served %d/%d", r.Succeeded, r.Requests)
+	v.check(r.Forwarded > 0 && r.ServedForwards > 0,
+		"hot cell never overflowed: forwarded=%d served=%d", r.Forwarded, r.ServedForwards)
+	v.check(r.Lost == 0 && r.Duplicated == 0, "exactly-once violated: lost=%d duplicated=%d", r.Lost, r.Duplicated)
+	v.check(r.ShopKills > 0 && r.ShopRestarts > 0, "kill/restart = %d/%d, want both > 0", r.ShopKills, r.ShopRestarts)
+	v.check(r.GossipOK, "catalog gossip did not reach every cell")
+	v.check(r.WarmCloneOK, "no derived image cloned warm in another cell")
+	return v
 }
 
 // Report renders the run as printable lines.

@@ -98,6 +98,30 @@ func (r *PipelineResult) SpeedupOver(a, b int) float64 {
 	return ta / tb
 }
 
+// GateViolations lists every acceptance-gate failure (empty = pass):
+// every batch completes, the clone cache stays warm after the first
+// miss, batching drives plants into concurrent cloning and buys >= 3x
+// throughput, and a single request stays byte-identical to the serial
+// path.
+func (r *PipelineResult) GateViolations() []string {
+	var v violations
+	for _, b := range r.Batches {
+		v.check(b.Failed == 0 && b.OK == b.Size, "batch %d: ok=%d failed=%d", b.Size, b.OK, b.Failed)
+		v.check(b.Throughput > 0, "batch %d: throughput = %v", b.Size, b.Throughput)
+		// One golden image: the first clone misses, the rest must hit.
+		v.check(b.CacheMisses == 1 && b.CacheHits == int64(b.Size-1),
+			"batch %d: cache hits=%d misses=%d", b.Size, b.CacheHits, b.CacheMisses)
+		// The derived per-plant cap is 3 on the default node; a batch
+		// of 16 over 8 plants must actually clone concurrently.
+		v.check(b.Size != 16 || b.MaxInflight >= 2,
+			"batch 16: max in-flight clones = %d; batching produced no concurrency", b.MaxInflight)
+	}
+	v.check(r.SpeedupOver(16, 1) >= 3, "batch-16 speedup over batch-1 = %.2fx, want >= 3x", r.SpeedupOver(16, 1))
+	v.check(r.DeterminismOK, "serial and single-batch creation logs diverged:\n--- serial ---\n%s\n--- batch ---\n%s",
+		r.SerialFingerprint, r.BatchFingerprint)
+	return v
+}
+
 // RunPipeline sweeps the batched creation pipeline over the configured
 // batch sizes — a fresh deployment per size so points are independent —
 // and runs the serial-vs-batch determinism check.

@@ -277,6 +277,26 @@ func RunRestart(seed int64, opts RestartOptions) (*RestartResult, error) {
 	return res, nil
 }
 
+// GateViolations lists every acceptance-gate failure (empty = pass):
+// kills landed and were repaired from the journal, every creation is
+// exactly-once, routes and the quarantine survive restarts, and the
+// plant crash/recover leg ran.
+func (r *RestartResult) GateViolations() []string {
+	var v violations
+	v.check(r.Succeeded == r.Requests, "succeeded %d of %d requests", r.Succeeded, r.Requests)
+	v.check(r.Lost == 0, "%d acknowledged creations lost", r.Lost)
+	v.check(r.Duplicated == 0, "%d duplicated VMs", r.Duplicated)
+	v.check(r.ShopKills > 0, "no shop kills fired; the run exercised nothing")
+	v.check(r.Redriven > 0 || r.Reconciled > 0,
+		"kills fired but no intent was re-driven or reconciled (kills=%d)", r.ShopKills)
+	v.check(r.QuarantineSurvived, "quarantine did not survive the warehouse restart")
+	v.check(r.RoutesFinal == r.Succeeded, "final restart rebuilt %d routes, want %d", r.RoutesFinal, r.Succeeded)
+	v.check(r.TornTails == 0, "%d torn tails in a sync-boundary kill schedule", r.TornTails)
+	v.check(r.PlantCrashes > 0 && r.PlantRecoveries > 0,
+		"plant crash/recover leg did not run (crashes=%d recoveries=%d)", r.PlantCrashes, r.PlantRecoveries)
+	return v
+}
+
 // Report renders the run as printable lines.
 func (r *RestartResult) Report() []string {
 	return []string{

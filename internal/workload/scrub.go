@@ -161,31 +161,24 @@ func (r *ScrubResult) Report() []string {
 	}
 }
 
-// Check enforces the experiment's gates; a non-nil error means the
-// integrity invariant was violated.
-func (r *ScrubResult) Check() error {
-	switch {
-	case r.Failed > 0:
-		return fmt.Errorf("scrub: %d of %d requests never succeeded", r.Failed, r.Requests)
-	case r.Injected == 0:
-		return fmt.Errorf("scrub: no corruption was injected; the run proves nothing")
-	case r.Detected == 0:
-		return fmt.Errorf("scrub: %d corruptions injected but none detected", r.Injected)
-	case r.Quarantines == 0:
-		return fmt.Errorf("scrub: corruption detected but nothing quarantined")
-	case r.Repairs == 0:
-		return fmt.Errorf("scrub: nothing was ever repaired")
-	case int64(r.Succeeded) > r.VerifiedClones:
-		return fmt.Errorf("scrub: %d creations succeeded but only %d clones verified — a creation resumed unverified state",
-			r.Succeeded, r.VerifiedClones)
-	case r.InQuarantine > 0:
-		return fmt.Errorf("scrub: %d images leaked in quarantine at end of run", r.InQuarantine)
-	case len(r.DirtyAtEnd) > 0:
-		return fmt.Errorf("scrub: silent corruption — %v failed the final deep verify without ever being detected", r.DirtyAtEnd)
-	case !r.SeedsIntact:
-		return fmt.Errorf("scrub: a seed image was lost or left quarantined")
-	}
-	return nil
+// GateViolations lists every acceptance-gate failure (empty = pass):
+// a violation means the integrity invariant was broken or the run
+// attacked nothing.
+func (r *ScrubResult) GateViolations() []string {
+	var v violations
+	v.check(r.Failed == 0, "%d of %d requests never succeeded", r.Failed, r.Requests)
+	v.check(r.Injected > 0, "no corruption was injected; the run proves nothing")
+	v.check(r.Injected == 0 || r.Detected > 0, "%d corruptions injected but none detected", r.Injected)
+	v.check(r.Detected == 0 || r.Quarantines > 0, "corruption detected but nothing quarantined")
+	v.check(r.Repairs > 0, "nothing was ever repaired")
+	v.check(int64(r.Succeeded) <= r.VerifiedClones,
+		"%d creations succeeded but only %d clones verified — a creation resumed unverified state",
+		r.Succeeded, r.VerifiedClones)
+	v.check(r.InQuarantine == 0, "%d images leaked in quarantine at end of run", r.InQuarantine)
+	v.check(len(r.DirtyAtEnd) == 0,
+		"silent corruption — %v failed the final deep verify without ever being detected", r.DirtyAtEnd)
+	v.check(r.SeedsIntact, "a seed image was lost or left quarantined")
+	return v
 }
 
 // RunScrub replays the Zipf stream under corruption injection with the

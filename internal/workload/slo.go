@@ -118,6 +118,29 @@ func (r *SLOResult) TreeOK() bool {
 		r.OrphanSpans == 0 && r.ExtraRoots == 0 && r.Incomplete == 0 && r.BadFlights == 0
 }
 
+// GateViolations lists every acceptance-gate failure (empty = pass):
+// every creation succeeded with one complete span tree and flight
+// timeline, every standing objective was evaluated and held, and the
+// chaos phase injected faults.
+func (r *SLOResult) GateViolations() []string {
+	var v violations
+	v.check(r.Succeeded == r.Requests, "succeeded %d of %d requests", r.Succeeded, r.Requests)
+	v.check(r.TreeOK(), "span-tree invariant violated: orphans=%d extra_roots=%d incomplete=%d bad_flights=%d dropped=%d/%d",
+		r.OrphanSpans, r.ExtraRoots, r.Incomplete, r.BadFlights, r.TracerDropped, r.FlightDropped)
+	v.check(r.SLOsHold, "SLOs violated")
+	for _, st := range r.Objectives {
+		v.check(st.OK, "objective %s violated: value=%v bound=%v", st.Name, st.Value, st.Bound)
+	}
+	v.check(len(r.Objectives) == len(DefaultSLOObjectives()),
+		"%d objective statuses, want %d", len(r.Objectives), len(DefaultSLOObjectives()))
+	var injected int64
+	for _, n := range r.Injections {
+		injected += n
+	}
+	v.check(injected > 0, "chaos phase injected no faults")
+	return v
+}
+
 // requiredFlightKinds is the lifecycle every successful creation must
 // have recorded.
 var requiredFlightKinds = []string{
@@ -350,13 +373,5 @@ func (r *SLOResult) Report() []string {
 		out = append(out, fmt.Sprintf("slo %-16s ok=%-5v value=%.4g bound=%g burn=%.3g (n=%d)",
 			st.Name, st.OK, st.Value, st.Bound, st.Burn, st.Samples))
 	}
-	labels := make([]string, 0, len(r.Injections))
-	for l := range r.Injections {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		out = append(out, fmt.Sprintf("injected %-28s %d", l, r.Injections[l]))
-	}
-	return out
+	return append(out, injectionLines(r.Injections)...)
 }

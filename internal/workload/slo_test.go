@@ -1,6 +1,9 @@
 package workload
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // The SLO run is the acceptance gate for the observability stack: every
 // creation — batched, serial, faulted-over — must yield exactly one
@@ -11,32 +14,8 @@ func TestSLORunSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunSLO: %v", err)
 	}
-	if res.Succeeded != res.Requests {
-		t.Errorf("succeeded %d of %d requests", res.Succeeded, res.Requests)
-	}
-	if !res.TreeOK() {
-		t.Errorf("span-tree invariant violated: orphans=%d extra_roots=%d incomplete=%d bad_flights=%d dropped=%d/%d",
-			res.OrphanSpans, res.ExtraRoots, res.Incomplete, res.BadFlights,
-			res.TracerDropped, res.FlightDropped)
-	}
-	if !res.SLOsHold {
-		for _, st := range res.Objectives {
-			if !st.OK {
-				t.Errorf("objective %s violated: value=%v bound=%v", st.Name, st.Value, st.Bound)
-			}
-		}
-	}
-	if len(res.Objectives) != len(DefaultSLOObjectives()) {
-		t.Errorf("%d objective statuses, want %d", len(res.Objectives), len(DefaultSLOObjectives()))
-	}
-	// The chaos phase must actually have injected something at the
-	// default mix, or the gate proves nothing.
-	total := int64(0)
-	for _, n := range res.Injections {
-		total += n
-	}
-	if total == 0 {
-		t.Error("chaos phase injected no faults")
+	if v := res.GateViolations(); len(v) != 0 {
+		t.Errorf("gate violations:\n  %s", strings.Join(v, "\n  "))
 	}
 }
 

@@ -149,6 +149,25 @@ func (r *WarmResult) Report() []string {
 	}
 }
 
+// GateViolations lists every acceptance-gate failure (empty = pass):
+// the warm half creates >= 30% faster than the cold half through
+// publish-back, within the byte budget, retiring only derived images,
+// with extent dedup engaged.
+func (r *WarmResult) GateViolations() []string {
+	var v violations
+	v.check(r.Failed == 0, "%d requests failed", r.Failed)
+	v.check(r.Improvement >= 0.30, "improvement = %.1f%%, want >= 30%%", 100*r.Improvement)
+	v.check(r.PublishBacks > 0 && r.DerivedImages > 0,
+		"publish-backs = %d, derived images = %d", r.PublishBacks, r.DerivedImages)
+	v.check(r.Retirements > 0, "capacity pressure retired nothing")
+	v.check(r.BytesUsed <= r.Capacity, "bytes used %d exceed the %d budget", r.BytesUsed, r.Capacity)
+	v.check(r.SeedsIntact, "a seed image was evicted")
+	v.check(r.ExtentSavedBytes > 0,
+		"saved no extent bytes (logical %d, physical %d): content-addressed dedup is not engaging",
+		r.ExtentLogicalBytes, r.ExtentPhysicalBytes)
+	return v
+}
+
 // RunWarm replays the Zipf stream through a fresh deployment with
 // publish-back enabled and a capacity budget sized to force
 // retirements. Each workspace is destroyed right after creation — the

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"vmplants/internal/actions"
 	"vmplants/internal/core"
 	"vmplants/internal/dag"
 	"vmplants/internal/match"
-	"vmplants/internal/plant"
 	"vmplants/internal/sim"
 	"vmplants/internal/stats"
 )
@@ -115,11 +115,11 @@ func TestFailureInjectionSurfacesToClient(t *testing.T) {
 	d, err := NewDeployment(Options{
 		Seed:          4,
 		GoldenSizesMB: []int{32},
-		PlantConfig:   plant.Config{FailProb: map[string]float64{"configure-network": 1.0}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.FailActions(actions.OpConfigureNetwork, 1.0)
 	recs, err := d.RunCreationSeries(3, 32)
 	if err != nil {
 		t.Fatal(err)

@@ -1,49 +1,18 @@
 #!/bin/sh
-# check.sh — the full pre-merge gate: build, vet, lint, then the test
-# suite under the race detector. The telemetry subsystem serves debug
-# HTTP endpoints concurrently with kernel runs, so -race is part of the
-# bar.
+# check.sh — the full pre-merge gate: build, vet, lint, the test suite
+# under the race detector, then every experiment of the vmbench
+# registry at smoke scale. The telemetry subsystem serves debug HTTP
+# endpoints concurrently with kernel runs, so -race is part of the bar.
 #
-# Knobs (all off by default):
+# The smoke run writes each experiment's journals and Chrome traces
+# into check-artifacts/ (gitignored); CI uploads them.
+#
+# Knob (off by default):
 #   CI_QUIET=1        suppress command echoing (CI logs stay readable)
-#   CHECK_SHORT=1     skip the experiment smokes; tests-only gate
-#   CHECK_EXP=<name>  build, then run only that one experiment smoke —
-#                     the CI matrix fans out one job per experiment
-#                     this way, while this script stays the single
-#                     local entry point
-#   CHECK_ARTIFACTS=<dir>  have smokes that support it dump their
-#                     journals / Chrome traces there (CI uploads the
-#                     directory when a matrix job fails)
 set -eu
 [ "${CI_QUIET:-0}" = "1" ] || set -x
 
 cd "$(dirname "$0")/.."
-
-# smoke runs one experiment gate; failure artifacts land in
-# CHECK_ARTIFACTS for the experiments that can dump them.
-smoke() {
-    exp="$1"
-    set -- -exp "$exp" -series smoke
-    if [ -n "${CHECK_ARTIFACTS:-}" ]; then
-        mkdir -p "$CHECK_ARTIFACTS"
-        case "$exp" in
-        federation) set -- "$@" -artifacts "$CHECK_ARTIFACTS" ;;
-        pipeline) set -- "$@" -artifacts "$CHECK_ARTIFACTS" ;;
-        diurnal) set -- "$@" -artifacts "$CHECK_ARTIFACTS" ;;
-        slo) set -- "$@" -trace "$CHECK_ARTIFACTS/slo-trace.json" ;;
-        esac
-    fi
-    go run ./cmd/vmbench "$@" >/dev/null
-}
-
-if [ -n "${CHECK_EXP:-}" ]; then
-    # Matrix mode: one experiment smoke per invocation. The toolchain
-    # gate (vet, lint, race tests) runs once in its own job, not seven
-    # times over.
-    go build ./...
-    smoke "$CHECK_EXP"
-    exit 0
-fi
 
 go build ./...
 go vet ./...
@@ -59,43 +28,7 @@ fi
 
 go test -race ./...
 
-if [ "${CHECK_SHORT:-0}" != "1" ]; then
-    # Failure-recovery smoke: deterministic chaos run that must complete
-    # every request via failover/retry with zero orphans or leaks.
-    smoke chaos
-    # Batched-creation smoke: batch-16 must beat batch-1 by >= 3x while a
-    # single request stays byte-identical to the serial path; the lazy
-    # clone comparison must resume >= 2x below the full-copy floor with
-    # byte-identical converged end states.
-    smoke pipeline
-    # Learning-loop smoke: publish-back must cut warm-half creation time
-    # >= 30% within the byte budget, retiring only unreferenced derived
-    # images, with same-seed reruns byte-identical.
-    smoke warm
-    # Data-integrity smoke: under injected corruption every creation
-    # must resume from verified state, every detection must quarantine
-    # and heal (or retire), seeds stay intact, the end audit is clean,
-    # and same-seed reruns are byte-identical.
-    smoke scrub
-    # Observability smoke: every creation must yield one rooted span
-    # tree crossing all three layers with a complete flight timeline,
-    # SLOs must hold, and same-seed reruns are byte-identical.
-    smoke slo
-    # Crash-restart smoke: daemons killed at the write-ahead protocol's
-    # worst instants must still yield exactly-once creations, a
-    # journal-rebuilt route table, and a quarantine set that survives
-    # the warehouse restart, byte-identically across same-seed reruns.
-    smoke restart
-    # Federation smoke: 3 shops of 6 plants must beat 1 shop of 6 by
-    # >= 2.5x goodput on the same skewed stream, keep cross-cell
-    # forwards exactly-once through a mid-run shop kill, gossip a
-    # derived image clone-warm into another cell, and replay
-    # byte-identically on the same seed.
-    smoke federation
-    # Elastic-fleet smoke: a compressed day/night cycle with flash
-    # crowds and maintenance windows (one crossing a kill -9 mid-drain)
-    # must hold its SLOs, scale up and drain/retire at least twice
-    # each, shed only retryably, orphan and leak nothing, and replay
-    # byte-identically on the same seed.
-    smoke diurnal
-fi
+# Every experiment in the vmbench registry (see EXPERIMENTS.md), each
+# gated one replayed on the same seed. vmbench runs them all, names
+# every violation on stderr and exits nonzero if any gate failed.
+go run ./cmd/vmbench -series smoke -artifacts check-artifacts >/dev/null

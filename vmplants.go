@@ -93,8 +93,6 @@ type Config struct {
 	HostOnlyNetworksPerPlant int
 	// CloneByCopy replaces link cloning with full disk copies.
 	CloneByCopy bool
-	// FailProb injects per-operation configuration failures.
-	FailProb map[string]float64
 }
 
 // System is an in-process VMPlants deployment: a simulated cluster, a
@@ -132,7 +130,6 @@ func New(cfg Config) (*System, error) {
 			HostOnlyNetworks: cfg.HostOnlyNetworksPerPlant,
 			CostModel:        model,
 			CloneMode:        mode,
-			FailProb:         cfg.FailProb,
 		})
 		s.plants = append(s.plants, pl)
 		handles = append(handles, shop.NewLocalHandle(pl))

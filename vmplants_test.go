@@ -145,20 +145,6 @@ func TestInvalidSpecRejected(t *testing.T) {
 	}
 }
 
-func TestFailureInjectionThroughFacade(t *testing.T) {
-	sys, err := New(Config{Plants: 1, Seed: 7, FailProb: map[string]float64{"create-user": 1.0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hw := Hardware{Arch: "x86", MemoryMB: 64, DiskMB: 2048}
-	if err := sys.PublishGolden("base-ws", hw, BackendVMware, history()); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sys.CreateVM(wsSpec(t, "grace")); err == nil {
-		t.Error("create with certain failure succeeded")
-	}
-}
-
 func TestDeterministicReplayThroughFacade(t *testing.T) {
 	run := func() time.Duration {
 		sys := newSystem(t, Config{Seed: 99})
